@@ -5,24 +5,48 @@
 //! independently, and the merge step resolves label equivalences across
 //! band boundaries with a union-find pass — a textbook Split/Compute/Merge
 //! decomposition.
+//!
+//! The merge only ever looks at the labels on either side of a seam, so
+//! a band ships **seam rows, not a label map**: [`label_band`] scans its
+//! band with two rolling label rows ([`label_seams`]) and returns the
+//! resolved first and last rows plus the component count. A labelled
+//! band is O(width) — 2 × 1920 `u32`s (15 KiB) at 1080p — instead of an
+//! O(band) map (4 MiB for half a 1080p frame). The seam rows are leased
+//! from the labelling worker's frame arena, so in steady state each
+//! worker's arena holds a few seam-sized `u32` slots, and its scan
+//! scratch (three label rows plus the equivalence table) is reused
+//! across frames.
 
 use skipper::{Backend, Executable, FrameSource, Scm, SeqBackend, ThreadBackend};
-use skipper_vision::label::{
-    label_components, label_components_reference, Connectivity, DisjointSets,
-};
+use skipper_vision::label::{label_components_reference, label_seams, Connectivity, DisjointSets};
 use skipper_vision::split::{split_rows, RowBand};
 use skipper_vision::Image;
 
-/// Per-band computation result: the band metadata plus its local label map
-/// and label count.
+/// Per-band computation result: the band metadata plus the resolved
+/// labels of its first and last rows and its label count — everything
+/// [`merge_bands`] reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelledBand {
     /// The band (metadata + original pixels).
     pub band: RowBand,
-    /// Local label map (dense from 1).
-    pub labels: Image<u32>,
+    /// The band's seam rows, `width × 2`: row 0 holds the local labels
+    /// (dense from 1) of the band's first row, row 1 those of its last
+    /// row (the same row for a one-row band; all 0 for an empty band).
+    pub seams: Image<u32>,
     /// Number of local labels.
     pub count: u32,
+}
+
+impl LabelledBand {
+    /// Local labels of the band's first row.
+    pub fn top(&self) -> &[u32] {
+        self.seams.row(0)
+    }
+
+    /// Local labels of the band's last row.
+    pub fn bottom(&self) -> &[u32] {
+        self.seams.row(1)
+    }
 }
 
 /// Sequential reference: number of 8-connected components.
@@ -37,18 +61,17 @@ pub fn split_bands(img: &Image<u8>, n: usize) -> Vec<RowBand> {
     split_rows(img, n, 0)
 }
 
-/// The `scm` compute function: label one band locally with the row-slice
-/// strip labeller, writing into a label map leased from the worker's
-/// frame arena — on the persistent pool/shard workers the same buffer is
-/// recycled frame after frame.
+/// The `scm` compute function: label one band locally with the
+/// rolling-row scan, writing only its two resolved seam rows into a
+/// buffer leased from the worker's frame arena — on the persistent
+/// pool/shard workers the same small buffer is recycled frame after
+/// frame, and no band-sized label map is ever written.
 pub fn label_band(band: RowBand) -> LabelledBand {
-    let labels = label_components(&band.pixels, Connectivity::Eight);
-    let count = labels.as_slice().iter().copied().max().unwrap_or(0);
-    LabelledBand {
-        band,
-        labels,
-        count,
-    }
+    let mut count = 0;
+    let seams = Image::leased_full(band.pixels.width(), 2, |seams| {
+        count = label_seams(&band.pixels, Connectivity::Eight, seams);
+    });
+    LabelledBand { band, seams, count }
 }
 
 /// The pre-arena baseline split: every band deep-copies its rows out of
@@ -65,65 +88,49 @@ pub fn split_bands_copying(img: &Image<u8>, n: usize) -> Vec<RowBand> {
 }
 
 /// The pre-arena baseline compute: the per-pixel reference labeller into
-/// a freshly allocated label map (see [`label_band`] for the hot path).
+/// a freshly allocated full label map, whose seam rows are then copied
+/// out (see [`label_band`] for the hot path).
 pub fn label_band_copying(band: RowBand) -> LabelledBand {
     let labels = label_components_reference(&band.pixels, Connectivity::Eight);
     let count = labels.as_slice().iter().copied().max().unwrap_or(0);
-    LabelledBand {
-        band,
-        labels,
-        count,
-    }
+    let (w, h) = labels.dimensions();
+    let seams = if h == 0 {
+        Image::new(w, 2)
+    } else {
+        Image::from_fn(w, 2, |x, y| labels.get(x, if y == 0 { 0 } else { h - 1 }))
+    };
+    LabelledBand { band, seams, count }
 }
 
 /// The `scm` merge function: resolve cross-boundary equivalences and count
 /// global components.
 pub fn merge_bands(parts: Vec<LabelledBand>) -> u32 {
-    if parts.is_empty() {
-        return 0;
-    }
     // Global id = offset[band] + local_label - 1.
     let mut offsets = Vec::with_capacity(parts.len());
-    let mut total = 0u32;
+    let mut total = 0usize;
     for p in &parts {
         offsets.push(total);
-        total += p.count;
+        total += p.count as usize;
     }
-    let mut ds = DisjointSets::new(total as usize);
-    // Union across each seam: last row of band i touches first row of
-    // band i+1 (8-connectivity: straight and diagonal neighbours).
-    for i in 0..parts.len().saturating_sub(1) {
-        let (top, bottom) = (&parts[i], &parts[i + 1]);
-        if top.labels.height() == 0 || bottom.labels.height() == 0 {
-            continue;
-        }
-        let ty = top.labels.height() - 1;
-        let w = top.labels.width();
-        for x in 0..w {
-            let lt = top.labels.get(x, ty);
+    let mut ds = DisjointSets::new(total);
+    // Union across each seam: the last row of band i touches the first
+    // row of band i+1 (8-connectivity: straight and diagonal neighbours).
+    for (i, pair) in parts.windows(2).enumerate() {
+        let (above, below) = (pair[0].bottom(), pair[1].top());
+        let w = above.len();
+        for (x, &lt) in above.iter().enumerate() {
             if lt == 0 {
                 continue;
             }
-            let gt = offsets[i] + lt - 1;
-            for dx in -1i64..=1 {
-                let bx = x as i64 + dx;
-                if bx < 0 || bx >= w as i64 {
-                    continue;
-                }
-                let lb = bottom.labels.get(bx as usize, 0);
+            let gt = offsets[i] + lt as usize - 1;
+            for &lb in &below[x.saturating_sub(1)..(x + 2).min(w)] {
                 if lb != 0 {
-                    let gb = offsets[i + 1] + lb - 1;
-                    ds.union(gt as usize, gb as usize);
+                    ds.union(gt, offsets[i + 1] + lb as usize - 1);
                 }
             }
         }
     }
-    // Count distinct roots.
-    let mut roots = std::collections::HashSet::new();
-    for g in 0..total {
-        roots.insert(ds.find(g as usize));
-    }
-    roots.len() as u32
+    (0..total).filter(|&g| ds.find(g) == g).count() as u32
 }
 
 /// The `scm` program type built by [`ccl_program`].
@@ -290,6 +297,45 @@ mod tests {
         }
         for b in split_bands_copying(&img, 4) {
             assert!(!b.pixels.shares_buffer_with(&img));
+        }
+    }
+
+    #[test]
+    fn label_band_seams_equal_the_reference_map() {
+        let frames = [
+            random_blobs(96, 64, 14, 3),
+            random_blobs(1920, 540, 80, 4),
+            random_blobs(61, 7, 4, 5),
+        ];
+        for img in &frames {
+            for n in [1, 2, 3, 7] {
+                for band in split_bands(img, n) {
+                    let map = label_components_reference(&band.pixels, Connectivity::Eight);
+                    let lb = label_band(band.clone());
+                    let h = map.height();
+                    assert_eq!(lb.top(), map.row(0), "n={n} band {}", band.index);
+                    assert_eq!(lb.bottom(), map.row(h - 1), "n={n} band {}", band.index);
+                    assert_eq!(lb.count, map.as_slice().iter().copied().max().unwrap());
+                    assert_eq!(label_band_copying(band), lb);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ccl_program_on_pool_and_shard_counts_like_the_reference_at_1080p() {
+        use skipper::{PoolBackend, ShardBackend, Workers};
+        let pool = PoolBackend::configured(Workers::exact(2));
+        let shard = ShardBackend::configured(2, Workers::exact(2));
+        for seed in 0..3 {
+            let img = random_blobs(1920, 1080, 160, seed);
+            let labels = label_components_reference(&img, Connectivity::Eight);
+            let expected = labels.as_slice().iter().copied().max().unwrap_or(0);
+            for n in [2, 3, 8] {
+                let prog = ccl_program(n);
+                assert_eq!(pool.run(&prog, &img), expected, "pool seed={seed} n={n}");
+                assert_eq!(shard.run(&prog, &img), expected, "shard seed={seed} n={n}");
+            }
         }
     }
 

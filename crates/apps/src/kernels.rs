@@ -21,7 +21,7 @@
 //! |---|---|
 //! | `image`  | `(w, h, bytes)` |
 //! | `band`   | `(index, y0, rows, halo_top, halo_bottom, image)` |
-//! | `lband`  | `(band, (w, h, bytes-of-le-u32), count)` |
+//! | `lband`  | `(band, (w, 2, bytes-of-le-u32 seam rows), count)` |
 //! | `point`  | `(y, x, width)` |
 //! | `line`   | `[]` or `[(a, b, samples, rms)]` |
 //! | `window` | `((x, y, w, h), image)` |
@@ -117,24 +117,25 @@ pub fn image_of(v: &Value) -> Image<u8> {
     Image::from_raw(usz(&t[0]), usz(&t[1]), bytes.to_vec())
 }
 
-/// Encodes a label map (`u32` pixels) as `(w, h, bytes)` little-endian.
-fn labels_value(labels: &Image<u32>) -> Value {
-    let mut bytes = Vec::with_capacity(labels.as_slice().len() * 4);
-    for px in labels.as_slice() {
+/// Encodes a band's seam rows (`u32` labels) as `(w, h, bytes)`
+/// little-endian.
+fn seams_value(seams: &Image<u32>) -> Value {
+    let mut bytes = Vec::with_capacity(seams.as_slice().len() * 4);
+    for px in seams.as_slice() {
         bytes.extend_from_slice(&px.to_le_bytes());
     }
     Value::tuple(vec![
-        Value::Int(labels.width() as i64),
-        Value::Int(labels.height() as i64),
+        Value::Int(seams.width() as i64),
+        Value::Int(seams.height() as i64),
         Value::bytes(bytes),
     ])
 }
 
-fn labels_of(v: &Value) -> Image<u32> {
-    let t = fields(v, 3, "a label map (w, h, bytes)");
+fn seams_of(v: &Value) -> Image<u32> {
+    let t = fields(v, 3, "seam rows (w, h, bytes)");
     let bytes = t[2]
         .as_bytes()
-        .unwrap_or_else(|| codec_violation("label bytes", &t[2]));
+        .unwrap_or_else(|| codec_violation("seam bytes", &t[2]));
     let px = bytes
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -170,7 +171,7 @@ pub fn band_of(v: &Value) -> RowBand {
 fn lband_value(l: &LabelledBand) -> Value {
     Value::tuple(vec![
         band_value(&l.band),
-        labels_value(&l.labels),
+        seams_value(&l.seams),
         Value::Int(i64::from(l.count)),
     ])
 }
@@ -179,7 +180,7 @@ fn lband_of(v: &Value) -> LabelledBand {
     let t = fields(v, 3, "a labelled band");
     LabelledBand {
         band: band_of(&t[0]),
-        labels: labels_of(&t[1]),
+        seams: seams_of(&t[1]),
         count: u32::try_from(int(&t[2])).unwrap_or_else(|_| codec_violation("a label count", v)),
     }
 }

@@ -1662,7 +1662,7 @@ pub fn arena_json(
 /// small and without touching the filesystem. Farms the CCL and
 /// road-following `scm` programs over a rotation of pre-rendered
 /// `width`×`height` frames on a prepared pool backend, once with the
-/// arena-backed stage boundaries (view splits, leased label maps and
+/// arena-backed stage boundaries (view splits, leased seam rows and
 /// kernels) and once with the copy-per-band baselines
 /// ([`ccl::ccl_program_copying`], [`road::line_program_copying`] — the
 /// whole pipeline exactly as it ran before the refactor). Asserts the

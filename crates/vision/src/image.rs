@@ -9,8 +9,10 @@
 //!
 //! Every fresh pixel-buffer allocation (and only those — clones, views and
 //! arena reuse are free) bumps the process-global [`pixel_alloc_count`]
-//! probe, which the steady-state allocation tests pin to zero.
+//! probe, which the steady-state allocation tests pin to zero, and the
+//! allocating thread's own [`thread_pixel_alloc_count`].
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,11 +29,25 @@ pub fn pixel_alloc_count() -> u64 {
     PIXEL_ALLOCS.load(Ordering::Relaxed)
 }
 
+thread_local! {
+    /// This thread's share of [`PIXEL_ALLOCS`].
+    static THREAD_PIXEL_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`pixel_alloc_count`] restricted to allocations made by the calling
+/// thread. A probe that measures only its own thread's work — a unit test
+/// running beside others in the same process — reads this one; a probe
+/// that must sum over pool workers reads the process-wide count.
+pub fn thread_pixel_alloc_count() -> u64 {
+    THREAD_PIXEL_ALLOCS.with(Cell::get)
+}
+
 /// Records one fresh pixel-buffer allocation (no-op for empty buffers,
 /// which `Vec` never heap-allocates).
 pub(crate) fn note_pixel_alloc(len: usize) {
     if len > 0 {
         PIXEL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        THREAD_PIXEL_ALLOCS.with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -642,10 +658,35 @@ mod tests {
     #[test]
     fn unique_image_mutates_in_place_without_alloc() {
         let mut img = Image::<u8>::new(16, 16);
-        let before = pixel_alloc_count();
+        let before = thread_pixel_alloc_count();
         img.fill(3);
         img.set(0, 0, 1);
-        assert_eq!(pixel_alloc_count(), before, "unique mutation is free");
+        assert_eq!(
+            thread_pixel_alloc_count(),
+            before,
+            "unique mutation is free"
+        );
+    }
+
+    #[test]
+    fn thread_probe_sees_only_its_own_thread() {
+        let (global, local) = (pixel_alloc_count(), thread_pixel_alloc_count());
+        std::thread::spawn(|| {
+            let before = thread_pixel_alloc_count();
+            drop(Image::<u8>::new(4, 4));
+            assert_eq!(thread_pixel_alloc_count(), before + 1);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            thread_pixel_alloc_count(),
+            local,
+            "other threads are not counted"
+        );
+        assert!(
+            pixel_alloc_count() > global,
+            "the process-wide count sums all threads"
+        );
     }
 
     #[test]

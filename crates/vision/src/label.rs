@@ -1,11 +1,19 @@
 //! Connected-component labelling.
 //!
-//! Implements the classic two-pass algorithm with a union-find equivalence
-//! table — the core of the paper's `detect_mark` user function and of the
+//! The core of the paper's `detect_mark` user function and of the
 //! connected-component labelling application of Ginhac et al. (MVA'98)
-//! parallelised with the `scm` skeleton.
+//! parallelised with the `scm` skeleton. Every fast path shares one
+//! first pass: the decision-tree scan of Wu, Otoo & Suzuki ("Optimizing
+//! two-pass connected-component labeling algorithms", 2009) over a flat
+//! min-root equivalence table, which one forward pass flattens into the
+//! final dense labels. [`label_components`] and [`label_components_tiled`]
+//! run it into a label map; [`label_seams`] and [`count_components`] run
+//! it over two rolling rows and keep only the first and last label rows.
+//! [`label_components_reference`] is the executable specification they
+//! are all tested against.
 
 use crate::Image;
+use std::cell::RefCell;
 
 /// Pixel connectivity used when labelling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -112,12 +120,221 @@ impl DisjointSets {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The scan: decision-tree first pass over a min-root equivalence table
+// ---------------------------------------------------------------------------
+//
+// Provisional labels live in a flat `u32` parent table: `table[i]` is the
+// parent of provisional id `i`, and id 0 is the background. Unions always
+// keep the *smaller* root (min-root union), so every entry satisfies
+// `table[i] <= i`, a root is a fixed point, and a tree's root is its
+// smallest id. Provisional ids are created in raster order, and the first
+// pixel of a component (in raster order) has no labelled neighbour, so it
+// always creates the component's smallest id. Hence one forward pass over
+// the table (`flatten`) both resolves every id to its root — a non-root's
+// parent precedes it and is already resolved — and numbers the roots
+// densely from 1 in raster order of each component's first pixel: exactly
+// the numbering of `label_components_reference`.
+
+/// Per-thread scan buffers, reused across calls: the equivalence table
+/// and the rolling label rows of [`label_seams`].
+struct Scratch {
+    table: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Scratch {
+            table: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
+}
+
+/// Runs `f` with this thread's scan buffers. No scan calls back into a
+/// labeller, so the buffers are never borrowed twice.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// Empties `table` down to the background entry.
+fn reset(table: &mut Vec<u32>) {
+    table.clear();
+    table.push(0);
+}
+
+/// A fresh provisional id, its own root.
+#[inline]
+fn new_label(table: &mut Vec<u32>) -> u32 {
+    let id = table.len() as u32;
+    table.push(id);
+    id
+}
+
+/// The root — the smallest id — of `i`'s set.
+#[inline]
+fn find_root(table: &[u32], mut i: u32) -> u32 {
+    while table[i as usize] < i {
+        i = table[i as usize];
+    }
+    i
+}
+
+/// Points every node on the path from `i` to its root at `root`.
+#[inline]
+fn set_root(table: &mut [u32], mut i: u32, root: u32) {
+    while table[i as usize] < i {
+        let next = table[i as usize];
+        table[i as usize] = root;
+        i = next;
+    }
+    table[i as usize] = root;
+}
+
+/// Min-root union of the sets of `i` and `j`; returns the merged root.
+#[inline]
+fn union(table: &mut [u32], i: u32, j: u32) -> u32 {
+    let mut root = find_root(table, i);
+    if i != j {
+        root = root.min(find_root(table, j));
+        set_root(table, j, root);
+    }
+    set_root(table, i, root);
+    root
+}
+
+/// Resolves every provisional id to its final dense label in place (see
+/// the invariant above) and returns the number of components.
+fn flatten(table: &mut [u32]) -> u32 {
+    let mut next = 0u32;
+    for i in 1..table.len() {
+        let parent = table[i] as usize;
+        table[i] = if parent < i {
+            table[parent]
+        } else {
+            next += 1;
+            next
+        };
+    }
+    next
+}
+
+/// The first pass over one row: writes the provisional label of every
+/// pixel of `src` into `cur`, given the provisional labels of the row
+/// above (`None` on a strip's first row), recording equivalences in
+/// `table`. Background pixels get 0. `src` must not be empty.
+///
+/// For 8-connectivity this is the decision tree of Wu, Otoo & Suzuki
+/// (2009): a labelled N already touches NW, NE and W, so it is copied;
+/// otherwise a labelled NE needs at most one union, with NW or else W
+/// (which touch each other); otherwise NW, then W, is copied, or a new
+/// label is created. For 4-connectivity W and N are unioned only when
+/// they differ.
+fn scan_row(
+    src: &[u8],
+    prev: Option<&[u32]>,
+    cur: &mut [u32],
+    table: &mut Vec<u32>,
+    conn: Connectivity,
+) {
+    let cur = &mut cur[..src.len()];
+    let mut west = 0u32;
+    let Some(prev) = prev else {
+        for (c, &px) in cur.iter_mut().zip(src) {
+            west = if px == 0 {
+                0
+            } else if west != 0 {
+                west
+            } else {
+                new_label(table)
+            };
+            *c = west;
+        }
+        return;
+    };
+    let prev = &prev[..src.len()];
+    match conn {
+        Connectivity::Four => {
+            for ((c, &px), &north) in cur.iter_mut().zip(src).zip(prev) {
+                west = if px == 0 {
+                    0
+                } else if north != 0 {
+                    if west != 0 && west != north {
+                        union(table, north, west)
+                    } else {
+                        north
+                    }
+                } else if west != 0 {
+                    west
+                } else {
+                    new_label(table)
+                };
+                *c = west;
+            }
+        }
+        Connectivity::Eight => {
+            // Slide the N-row window (nw, n, ne) along in registers.
+            let (mut nw, mut n) = (0u32, prev[0]);
+            let mut step = |px: u8, ne: u32, table: &mut Vec<u32>| {
+                west = if px == 0 {
+                    0
+                } else if n != 0 {
+                    n
+                } else if ne != 0 {
+                    if nw != 0 {
+                        union(table, ne, nw)
+                    } else if west != 0 {
+                        union(table, ne, west)
+                    } else {
+                        ne
+                    }
+                } else if nw != 0 {
+                    nw
+                } else if west != 0 {
+                    west
+                } else {
+                    new_label(table)
+                };
+                (nw, n) = (n, ne);
+                west
+            };
+            let last = src.len() - 1;
+            for ((c, &px), &ne) in cur[..last].iter_mut().zip(&src[..last]).zip(&prev[1..]) {
+                *c = step(px, ne, table);
+            }
+            cur[last] = step(src[last], 0, table);
+        }
+    }
+}
+
+/// Runs [`scan_row`] over rows `y0..` of `img` into `labels`, the
+/// matching full-width rows of a label map, with a fresh `table`.
+fn scan_strip(
+    img: &Image<u8>,
+    y0: usize,
+    labels: &mut [u32],
+    conn: Connectivity,
+    table: &mut Vec<u32>,
+) {
+    let w = img.width();
+    reset(table);
+    let mut prev: Option<&[u32]> = None;
+    for (ry, cur) in labels.chunks_exact_mut(w).enumerate() {
+        scan_row(img.row(y0 + ry), prev, cur, table, conn);
+        prev = Some(cur);
+    }
+}
+
 /// Labels the connected components of a binary image (non-zero = foreground).
 ///
 /// Returns a label map with background 0 and components numbered densely
-/// from 1 in raster order of their first pixel. Runs the row-slice strip
-/// path of [`label_components_tiled`] on a single strip, writing into a
-/// label map leased from the frame arena; the output is byte-identical to
+/// from 1 in raster order of their first pixel, written into a buffer
+/// leased from the frame arena. The output is byte-identical to
 /// [`label_components_reference`].
 ///
 /// # Example
@@ -137,11 +354,12 @@ pub fn label_components(img: &Image<u8>, conn: Connectivity) -> Image<u32> {
 }
 
 /// The original per-pixel two-pass labelling, kept as the executable
-/// specification: [`label_components`] (the row-slice strip path) must be
-/// byte-identical to it for every image and connectivity, and the E19
-/// benchmark uses it as the pre-arena baseline. Prefer
-/// [`label_components`] everywhere else — this walks the image with
-/// bounds-checked per-pixel accesses and allocates its label map fresh.
+/// specification: [`label_components`], [`label_components_tiled`] and
+/// [`label_seams`] must agree with it exactly for every image and
+/// connectivity, and the E19 benchmark uses it as the pre-arena
+/// baseline. Prefer [`label_components`] everywhere else — this walks
+/// the image with bounds-checked per-pixel accesses, unions every
+/// labelled neighbour pair and allocates its label map fresh.
 pub fn label_components_reference(img: &Image<u8>, conn: Connectivity) -> Image<u32> {
     let (w, h) = img.dimensions();
     let mut labels: Vec<u32> = vec![0; w * h];
@@ -208,196 +426,170 @@ pub fn label_components_reference(img: &Image<u8>, conn: Connectivity) -> Image<
     Image::from_raw(w, h, labels)
 }
 
-/// First labelling pass over one horizontal strip of the image, writing
-/// provisional labels into `band` (the strip's rows of the label map,
-/// starting at source row `y0`) and collecting equivalences in a
-/// strip-local [`DisjointSets`]. Works on row slices, so the inner loop
-/// indexes three flat arrays instead of doing per-pixel bounds-checked
-/// `get` calls.
-fn label_strip(
-    img: &Image<u8>,
-    y0: usize,
-    band: &mut [u32],
-    w: usize,
-    conn: Connectivity,
-) -> DisjointSets {
-    let mut ds = DisjointSets::new(1); // id 0 reserved for background
-    let rows = band.len() / w;
-    for ry in 0..rows {
-        let src = img.row(y0 + ry);
-        let (prev_rows, cur_rows) = band.split_at_mut(ry * w);
-        let prev = if ry > 0 {
-            &prev_rows[(ry - 1) * w..]
-        } else {
-            &[][..]
-        };
-        let cur = &mut cur_rows[..w];
-        for x in 0..w {
-            if src[x] == 0 {
-                // Written explicitly: the label map is leased without a
-                // blanket reset, so background cells may hold stale labels.
-                cur[x] = 0;
-                continue;
-            }
-            let west = if x > 0 { cur[x - 1] } else { 0 };
-            let (north, nw, ne) = if ry > 0 {
-                let n = prev[x];
-                if conn == Connectivity::Eight {
-                    (
-                        n,
-                        if x > 0 { prev[x - 1] } else { 0 },
-                        if x + 1 < w { prev[x + 1] } else { 0 },
-                    )
-                } else {
-                    (n, 0, 0)
-                }
-            } else {
-                (0, 0, 0)
-            };
-            let mut assigned = 0u32;
-            for n in [west, north, nw, ne] {
-                if n != 0 {
-                    if assigned == 0 {
-                        assigned = n;
-                    } else {
-                        ds.union(assigned as usize, n as usize);
-                    }
-                }
-            }
-            if assigned == 0 {
-                assigned = ds.push() as u32;
-            }
-            cur[x] = assigned;
-        }
-    }
-    ds
-}
-
 /// [`label_components`] with the first pass split into `strips`
-/// horizontal bands labelled on **parallel threads**, then stitched by
-/// merging equivalences along the band seams. The output is
+/// horizontal bands scanned on **parallel threads**, each with its own
+/// equivalence table, then stitched: the strip tables are concatenated
+/// (strip `s`'s ids follow strip `s - 1`'s, so creation order stays
+/// raster order and the min-root invariant holds globally), the seams
+/// are unioned, and one flatten numbers the components. The output is
 /// byte-identical to the sequential labelling for every image,
-/// connectivity and strip count: components are the same pixel sets
-/// either way, and the final dense numbering depends only on raster
-/// order of first appearance.
+/// connectivity and strip count.
 pub fn label_components_tiled(img: &Image<u8>, conn: Connectivity, strips: usize) -> Image<u32> {
     let (w, h) = img.dimensions();
     if w == 0 || h == 0 {
         return Image::new(w, h);
     }
     let strips = strips.clamp(1, h);
-    // Near-equal row partition: starts[s]..starts[s + 1] is band `s`.
-    let (base, extra) = (h / strips, h % strips);
-    let mut starts = Vec::with_capacity(strips + 1);
-    let mut y = 0usize;
-    for s in 0..strips {
-        starts.push(y);
-        y += base + usize::from(s < extra);
-    }
-    starts.push(h);
-
     // The label map is leased from the frame arena and filled while the
     // lease is still exclusive, so a farmed pipeline recycles one label
-    // buffer per worker across frames. The first pass writes every cell
+    // buffer per worker across frames. The scan writes every cell
     // (background included), so the lease skips the blanket reset.
     Image::leased_full(w, h, |labels| {
-        // Parallel first pass: each band owns its rows of the label map.
-        let mut local_sets: Vec<DisjointSets> = Vec::with_capacity(strips);
-        {
-            let mut rest = &mut labels[..];
-            let mut bands = Vec::with_capacity(strips);
-            for s in 0..strips {
-                let rows = starts[s + 1] - starts[s];
-                let (band, tail) = rest.split_at_mut(rows * w);
-                bands.push((starts[s], band));
-                rest = tail;
-            }
+        with_scratch(|s| {
+            let table = &mut s.table;
             if strips == 1 {
-                let (y0, band) = bands.pop().expect("one band");
-                local_sets.push(label_strip(img, y0, band, w, conn));
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = bands
-                        .into_iter()
-                        .map(|(y0, band)| scope.spawn(move || label_strip(img, y0, band, w, conn)))
-                        .collect();
-                    for handle in handles {
-                        local_sets.push(handle.join().expect("strip labelling thread"));
-                    }
-                });
+                scan_strip(img, 0, labels, conn, table);
+                flatten(table);
+                for p in labels.iter_mut() {
+                    *p = table[*p as usize];
+                }
+                return;
             }
-        }
+            // Near-equal row partition: starts[k]..starts[k + 1] is strip `k`.
+            let (base, extra) = (h / strips, h % strips);
+            let starts: Vec<usize> = (0..=strips).map(|k| k * base + k.min(extra)).collect();
+            let locals: Vec<Vec<u32>> = std::thread::scope(|scope| {
+                let mut rest = &mut labels[..];
+                let mut handles = Vec::with_capacity(strips);
+                for k in 0..strips {
+                    let (band, tail) = rest.split_at_mut((starts[k + 1] - starts[k]) * w);
+                    rest = tail;
+                    let y0 = starts[k];
+                    handles.push(scope.spawn(move || {
+                        let mut local = Vec::new();
+                        scan_strip(img, y0, band, conn, &mut local);
+                        local
+                    }));
+                }
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("strip labelling thread"))
+                    .collect()
+            });
 
-        // Stitch: re-base each band's provisional ids into one global
-        // universe, replay the local equivalences, then union across seams.
-        let mut offsets = Vec::with_capacity(strips);
-        let mut total = 1usize;
-        for local in &local_sets {
-            offsets.push(total - 1);
-            total += local.len() - 1;
-        }
-        let mut ds = DisjointSets::new(total);
-        for (s, local) in local_sets.iter_mut().enumerate() {
-            let off = offsets[s];
-            for i in 1..local.len() {
-                let root = local.find(i);
-                ds.union(i + off, root + off);
+            // Stitch: strip `k`'s provisional id `i` becomes global id
+            // `offsets[k] + i`.
+            reset(table);
+            let mut offsets = Vec::with_capacity(strips);
+            for local in &locals {
+                let off = (table.len() - 1) as u32;
+                offsets.push(off);
+                table.extend(local[1..].iter().map(|&p| p + off));
             }
-        }
-        for s in 1..strips {
-            let off = offsets[s] as u32;
-            if off == 0 {
-                continue;
-            }
-            for p in &mut labels[starts[s] * w..starts[s + 1] * w] {
-                if *p != 0 {
-                    *p += off;
-                }
-            }
-        }
-        for &y in &starts[1..strips] {
-            let seam = img.row(y);
-            let above = &labels[(y - 1) * w..y * w];
-            let cur_band = &labels[y * w..(y + 1) * w];
-            for x in 0..w {
-                if seam[x] == 0 || cur_band[x] == 0 {
-                    continue;
-                }
-                let cur = cur_band[x] as usize;
-                let span = match conn {
-                    Connectivity::Four => x..x + 1,
-                    Connectivity::Eight => x.saturating_sub(1)..(x + 2).min(w),
-                };
-                for n in &above[span] {
-                    if *n != 0 {
-                        ds.union(cur, *n as usize);
+            for k in 1..strips {
+                let y = starts[k];
+                let (above, below) = labels[(y - 1) * w..(y + 1) * w].split_at(w);
+                for (x, &b) in below.iter().enumerate() {
+                    if b == 0 {
+                        continue;
+                    }
+                    let span = match conn {
+                        Connectivity::Four => x..x + 1,
+                        Connectivity::Eight => x.saturating_sub(1)..(x + 2).min(w),
+                    };
+                    for &a in &above[span] {
+                        if a != 0 {
+                            union(table, b + offsets[k], a + offsets[k - 1]);
+                        }
                     }
                 }
             }
-        }
-
-        // Second pass: resolve to dense labels in raster order, exactly as
-        // the sequential algorithm numbers them.
-        let mut dense: Vec<u32> = vec![0; ds.len()];
-        let mut next = 0u32;
-        for p in labels.iter_mut() {
-            if *p == 0 {
-                continue;
+            flatten(table);
+            for k in 0..strips {
+                let resolved = &table[offsets[k] as usize..];
+                for p in &mut labels[starts[k] * w..starts[k + 1] * w] {
+                    if *p != 0 {
+                        *p = resolved[*p as usize];
+                    }
+                }
             }
-            let root = ds.find(*p as usize);
-            if dense[root] == 0 {
-                next += 1;
-                dense[root] = next;
-            }
-            *p = dense[root];
-        }
+        })
     })
 }
 
-/// Number of connected components of a binary image.
+/// Labels `img` like [`label_components`] but without a label map: the
+/// scan keeps only two rolling label rows, then writes the **resolved**
+/// labels of the first row into `seams[..width]` and of the last row
+/// into `seams[width..]`, and returns the number of components. These
+/// are exactly the first and last rows of [`label_components`]'s map and
+/// its maximum — all a band merge needs — for O(width) memory instead of
+/// O(image). An image with no rows yields zero seams and count 0.
+///
+/// # Panics
+///
+/// Panics if `seams.len() != 2 * img.width()`.
+///
+/// # Example
+///
+/// ```
+/// use skipper_vision::{Image, label::{label_seams, Connectivity}};
+/// let mut img = Image::<u8>::new(3, 3);
+/// img.set(0, 0, 255);
+/// img.set(2, 2, 255);
+/// let mut seams = [0u32; 6];
+/// assert_eq!(label_seams(&img, Connectivity::Eight, &mut seams), 2);
+/// assert_eq!(seams, [1, 0, 0, 0, 0, 2]);
+/// ```
+pub fn label_seams(img: &Image<u8>, conn: Connectivity, seams: &mut [u32]) -> u32 {
+    let w = img.width();
+    assert_eq!(seams.len(), 2 * w, "seams hold the first and last rows");
+    with_scratch(|s| scan_seams(img, conn, Some(seams), s))
+}
+
+/// The rolling-row scan behind [`label_seams`] and [`count_components`]:
+/// `s.rows` holds the first row's provisional labels (kept until the
+/// flatten resolves them) and two rows that alternate as N and current.
+fn scan_seams(
+    img: &Image<u8>,
+    conn: Connectivity,
+    seams: Option<&mut [u32]>,
+    s: &mut Scratch,
+) -> u32 {
+    let (w, h) = img.dimensions();
+    if w == 0 || h == 0 {
+        if let Some(seams) = seams {
+            seams.fill(0);
+        }
+        return 0;
+    }
+    let Scratch { table, rows } = s;
+    rows.resize(3 * w, 0);
+    let (first, rolling) = rows.split_at_mut(w);
+    let (mut prev, mut cur) = rolling.split_at_mut(w);
+    reset(table);
+    scan_row(img.row(0), None, first, table, conn);
+    prev.copy_from_slice(first);
+    for y in 1..h {
+        scan_row(img.row(y), Some(prev), cur, table, conn);
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    let count = flatten(table);
+    if let Some(seams) = seams {
+        let (top, bottom) = seams.split_at_mut(w);
+        for (out, &p) in top.iter_mut().zip(&*first) {
+            *out = table[p as usize];
+        }
+        for (out, &p) in bottom.iter_mut().zip(&*prev) {
+            *out = table[p as usize];
+        }
+    }
+    count
+}
+
+/// Number of connected components of a binary image: the count of the
+/// rolling-row scan, with no label map written.
 pub fn count_components(img: &Image<u8>, conn: Connectivity) -> u32 {
-    let labels = label_components(img, conn);
-    labels.as_slice().iter().copied().max().unwrap_or(0)
+    with_scratch(|s| scan_seams(img, conn, None, s))
 }
 
 /// Relabels `labels` so that label values are dense in `1..=n`, preserving
@@ -501,20 +693,61 @@ mod tests {
 
     #[test]
     fn tiled_labelling_equals_sequential_exactly() {
-        for conn in [Connectivity::Four, Connectivity::Eight] {
-            for (w, h, seed) in [(1, 1, 1), (7, 3, 2), (31, 17, 3), (64, 64, 4), (5, 40, 5)] {
-                let img = noise_image(w, h, seed);
-                let golden = label_components_reference(&img, conn);
-                assert_eq!(label_components(&img, conn), golden, "{w}x{h} {conn:?}");
-                for strips in [1, 2, 3, 4, 7, h, h + 5] {
-                    let tiled = label_components_tiled(&img, conn, strips);
-                    assert_eq!(
-                        tiled, golden,
-                        "{w}x{h} seed {seed} {conn:?} strips {strips}"
-                    );
+        use crate::synth::random_blobs;
+        let checkerboard =
+            |w, h| Image::from_fn(w, h, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
+        let cases: Vec<(&str, Image<u8>)> = vec![
+            ("noise 1x1", noise_image(1, 1, 1)),
+            ("noise 7x3", noise_image(7, 3, 2)),
+            ("noise 31x17", noise_image(31, 17, 3)),
+            ("noise 64x64", noise_image(64, 64, 4)),
+            ("noise 5x40", noise_image(5, 40, 5)),
+            ("noise 1xN", noise_image(1, 57, 6)),
+            ("noise Nx1", noise_image(57, 1, 7)),
+            ("blobs 1920x540", random_blobs(1920, 540, 80, 8)),
+            ("blobs 1920x37", random_blobs(1920, 37, 12, 11)),
+            ("blobs 333x211", random_blobs(333, 211, 25, 9)),
+            ("blobs 97x3", random_blobs(97, 3, 6, 10)),
+            ("all foreground", Image::from_fn(37, 23, |_, _| 255)),
+            ("checkerboard", checkerboard(29, 19)),
+            ("checkerboard 1xN", checkerboard(1, 9)),
+            ("checkerboard Nx1", checkerboard(9, 1)),
+        ];
+        for (name, img) in &cases {
+            let (w, h) = img.dimensions();
+            for conn in [Connectivity::Four, Connectivity::Eight] {
+                let golden = label_components_reference(img, conn);
+                assert_eq!(label_components(img, conn), golden, "{name} {conn:?}");
+                // One strip per row spawns h threads; tall images stop at 7
+                // strips and the 1920x37 band covers per-row strips at width.
+                let sweep: &[usize] = if h > 64 {
+                    &[1, 2, 3, 4, 7]
+                } else {
+                    &[1, 2, 3, 4, 7, h, h + 5]
+                };
+                for &strips in sweep {
+                    let tiled = label_components_tiled(img, conn, strips);
+                    assert_eq!(tiled, golden, "{name} {conn:?} strips {strips}");
                 }
+                // The map-free scan agrees with the map's seams and maximum.
+                let count = golden.as_slice().iter().copied().max().unwrap_or(0);
+                assert_eq!(count_components(img, conn), count, "{name} {conn:?}");
+                let mut seams = vec![u32::MAX; 2 * w];
+                assert_eq!(label_seams(img, conn, &mut seams), count, "{name} {conn:?}");
+                assert_eq!(&seams[..w], golden.row(0), "{name} {conn:?} top");
+                assert_eq!(&seams[w..], golden.row(h - 1), "{name} {conn:?} bottom");
             }
         }
+    }
+
+    #[test]
+    fn seams_of_an_image_without_rows_are_zero() {
+        let mut seams = [7u32; 8];
+        assert_eq!(
+            label_seams(&Image::new(4, 0), Connectivity::Eight, &mut seams),
+            0
+        );
+        assert_eq!(seams, [0; 8]);
     }
 
     #[test]

@@ -53,5 +53,5 @@ pub mod synth;
 pub mod window;
 
 pub use arena::{ArenaPixel, FrameArena};
-pub use image::{pixel_alloc_count, Image};
+pub use image::{pixel_alloc_count, thread_pixel_alloc_count, Image};
 pub use window::Window;
